@@ -615,8 +615,26 @@ pub fn check_batch_with_policy(
     pack: &PolicyPack,
     jobs: usize,
 ) -> BatchReport {
+    check_batch_with_policy_cap(inputs, base, pack, jobs, p4bid_typeck::DEFAULT_PREFIX_CACHE_CAP)
+}
+
+/// [`check_batch_with_policy`] whose every group core holds at most
+/// `prefix_cap` prefix snapshots (`--prefix-cache-cap`; `0` disables
+/// them).
+#[must_use]
+pub fn check_batch_with_policy_cap(
+    inputs: &[BatchInput],
+    base: &CheckOptions,
+    pack: &PolicyPack,
+    jobs: usize,
+    prefix_cap: usize,
+) -> BatchReport {
+    let group_batch = |inputs: &[BatchInput], opts: &CheckOptions| {
+        let core = SharedSessionCore::with_prefix_cache_cap(opts.clone(), prefix_cap);
+        check_batch_with_core(inputs, &core, jobs)
+    };
     if pack.is_empty() {
-        return check_batch(inputs, base, jobs);
+        return group_batch(inputs, base);
     }
     let mut groups: Vec<(u64, CheckOptions, Vec<usize>)> = Vec::new();
     for (i, inp) in inputs.iter().enumerate() {
@@ -632,7 +650,7 @@ pub fn check_batch_with_policy(
     let mut report_jobs = 1;
     for (_, opts, ixs) in &groups {
         let subset: Vec<BatchInput> = ixs.iter().map(|&i| inputs[i].clone()).collect();
-        let sub = check_batch(&subset, opts, jobs);
+        let sub = group_batch(&subset, opts);
         report_jobs = report_jobs.max(sub.jobs);
         stats.merge(&sub.stats);
         for mut p in sub.programs {
@@ -725,16 +743,35 @@ fn run_batch_inner(
 /// [`check_one`] inside a crash containment boundary: a panicking check —
 /// a checker bug, a pathological program, or an injected `P4BID_FAULTS`
 /// fault — becomes a deterministic `E-INTERNAL` verdict for that program
-/// alone, and the worker keeps draining its queue on a freshly rebuilt
-/// session (the panic may have torn the old one mid-mutation).
+/// alone, and the worker keeps draining its queue. A panic inside the
+/// check may have torn the session mid-mutation, so the worker goes on
+/// with a freshly rebuilt one. An injected panic fires before the session
+/// is touched, so the worker keeps its session — and with it everything
+/// earlier programs taught its overlay, which a refreeze harvests. (A
+/// rebuild there would make that harvest depend on which worker happened
+/// to draw the faulting program.)
 pub(crate) fn check_one_isolated(
     session: &mut CheckerSession,
     make_session: impl Fn() -> CheckerSession,
     index: usize,
     input: &BatchInput,
 ) -> ProgramReport {
+    // Arm the wall-clock deadline before the fault hook so injected
+    // slowness (`P4BID_FAULTS=…:slow=…`) deterministically exercises the
+    // `--check-timeout-ms` path; key injected faults on the program's
+    // content hash so the same program faults identically regardless of
+    // which worker picks it up. The hash exists only to key injected
+    // faults; skip it (it is O(source)) on the vastly common no-faults
+    // path.
+    let deadline = session.options().deadline_from_now();
+    if crate::faults::plan().is_some() {
+        let key = p4bid_ast::fnv::hash(input.source.as_bytes());
+        if std::panic::catch_unwind(|| crate::faults::check_faults(key)).is_err() {
+            return internal_error_report(index, input);
+        }
+    }
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        check_one(session, index, input)
+        check_one(session, deadline, index, input)
     })) {
         Ok(report) => report,
         Err(_) => {
@@ -763,19 +800,13 @@ pub(crate) fn internal_error_report(index: usize, input: &BatchInput) -> Program
     }
 }
 
-fn check_one(session: &mut CheckerSession, index: usize, input: &BatchInput) -> ProgramReport {
-    // Arm the wall-clock deadline before the fault hook so injected
-    // slowness (`P4BID_FAULTS=…:slow=…`) deterministically exercises the
-    // `--check-timeout-ms` path; key injected faults on the program's
-    // content hash so the same program faults identically regardless of
-    // which worker picks it up.
-    let deadline = session.options().deadline_from_now();
+fn check_one(
+    session: &mut CheckerSession,
+    deadline: Option<std::time::Instant>,
+    index: usize,
+    input: &BatchInput,
+) -> ProgramReport {
     session.set_deadline(deadline);
-    // The content hash exists only to key injected faults; skip it (it
-    // is O(source)) on the vastly common no-faults path.
-    if crate::faults::plan().is_some() {
-        crate::faults::check_faults(p4bid_ast::fnv::hash(input.source.as_bytes()));
-    }
     match session.check(&input.source) {
         Ok(_) => ProgramReport {
             index,

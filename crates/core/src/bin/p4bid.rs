@@ -27,7 +27,7 @@
 //! See `docs/CLI.md` for the full reference (exit codes, report schemas,
 //! environment knobs).
 
-use p4bid::batch::{check_batch_with_policy, synthetic_corpus, BatchInput, BatchStats};
+use p4bid::batch::{check_batch_with_policy_cap, synthetic_corpus, BatchInput, BatchStats};
 use p4bid::fuzz::{run_fuzz, SeedOutcome};
 use p4bid::ni::{check_non_interference, GenConfig, NiConfig, NiOutcome};
 use p4bid::report::{
@@ -233,13 +233,8 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     };
 
     let start = std::time::Instant::now();
-    let report = match &policy {
-        Some(pack) => check_batch_with_policy(&inputs, &opts, pack, jobs),
-        None => {
-            let core = p4bid::SharedSessionCore::with_prefix_cache_cap(opts, prefix_cap);
-            p4bid::batch::check_batch_with_core(&inputs, &core, jobs)
-        }
-    };
+    let pack = policy.unwrap_or_default();
+    let report = check_batch_with_policy_cap(&inputs, &opts, &pack, jobs, prefix_cap);
     let elapsed = start.elapsed();
     if args.iter().any(|a| a == "--json") {
         print!("{}", report.to_json());

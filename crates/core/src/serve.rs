@@ -1304,7 +1304,8 @@ impl ServeEngine {
     /// The long-lived core serving one options fingerprint, built on
     /// first use from the options the policy resolves for `name` (the
     /// fingerprint covers every option field, so any name in the
-    /// partition resolves the same options).
+    /// partition resolves the same options) with the base core's
+    /// prefix-cache bound.
     fn core_for(&mut self, fp: u64, name: &str) -> SharedSessionCore {
         if fp == self.opts_fp {
             return self.core.clone();
@@ -1317,7 +1318,7 @@ impl ServeEngine {
             .as_ref()
             .expect("a non-base fingerprint comes from a policy rule")
             .resolve(name, self.core.options());
-        let core = SharedSessionCore::new(opts);
+        let core = SharedSessionCore::with_prefix_cache_cap(opts, self.core.prefix_cache_cap());
         self.extra_cores.push((fp, core.clone()));
         core
     }

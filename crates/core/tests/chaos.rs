@@ -350,10 +350,10 @@ fn injected_panics_never_poison_the_snapshot_tree() {
         true,
     );
 
-    // The victim goes first: a caught panic swaps the torn worker session
-    // for a fresh one, discarding everything its overlay had accumulated,
-    // so with `--jobs 1` the siblings must run *after* the swap for their
-    // names to survive into the refreeze harvest.
+    // The victim's injected panic fires before its worker's session is
+    // touched, so the worker keeps that session: the siblings' names reach
+    // the refreeze harvest whichever worker draws which program, and
+    // whether or not the victim is stolen.
     let epoch = format!(
         "{{\"id\": \"victim\", \"source\": \"{}\"}}\n\
          {{\"id\": \"clean\", \"source\": \"{}\"}}\n\

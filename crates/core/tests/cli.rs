@@ -310,6 +310,38 @@ fn batch_policy_resolves_per_program_options() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `--prefix-cache-cap` bounds every policy group's core, not just the
+/// base one: with the cache disabled no group consults it.
+#[test]
+fn batch_policy_groups_honor_the_prefix_cache_cap() {
+    let declassifying = "control C(inout <bit<8>, low> l, inout <bit<8>, high> h) \
+                         { apply { l = declassify(h); } }";
+    let dir = batch_dir(
+        "policy-cap",
+        &[("declass-a.p4", declassifying), ("plain-b.p4", declassifying), ("c.p4", BATCH_OK)],
+    );
+    let policy = dir.join("p4bid.policy");
+    std::fs::write(&policy, "[declass-*]\ndeclassify = true\n").unwrap();
+    let run = |cap: &str| {
+        let out = p4bid(&[
+            "batch",
+            dir.to_str().unwrap(),
+            "--policy",
+            policy.to_str().unwrap(),
+            "--prefix-cache-cap",
+            cap,
+            "--stats",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let off = run("0");
+    assert!(off.contains("prefix hits 0 / misses 0"), "{off}");
+    let on = run("16");
+    assert!(on.contains("prefix hits 0 / misses 3"), "{on}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn batch_rejects_malformed_policy_packs() {
     let dir = batch_dir("bad-policy", &[("a.p4", BATCH_OK)]);

@@ -636,3 +636,39 @@ fn serve_policies_stay_deterministic_across_jobs() {
     assert_eq!(outputs[0], outputs[2]);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// `--prefix-cache-cap` bounds the cores serve builds for policy groups
+/// too: with the cache disabled, no epoch consults it.
+#[test]
+fn serve_policy_groups_honor_the_prefix_cache_cap() {
+    let declassifying = "control C(inout <bit<8>, low> l, inout <bit<8>, high> h) \
+                         { apply { l = declassify(h); } }";
+    let dir = scratch_dir("policy-cap");
+    let policy = dir.join("p4bid.policy");
+    std::fs::write(&policy, "[declass-*]\ndeclassify = true\n").unwrap();
+    let feed = format!(
+        "{{\"id\": \"declass-a\", \"source\": \"{0}\"}}\n\
+         {{\"id\": \"plain-b\", \"source\": \"{0}\"}}\n",
+        declassifying.replace('"', "\\\""),
+    );
+    let misses = |cap: &str| {
+        let out = serve_with_feed(
+            &[
+                "--json",
+                "--stats-json",
+                "--policy",
+                policy.to_str().unwrap(),
+                "--prefix-cache-cap",
+                cap,
+            ],
+            &feed,
+        );
+        assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let tail = stderr.split("\"prefix_misses\": ").nth(1).unwrap_or_else(|| panic!("{stderr}"));
+        tail.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<u64>().unwrap()
+    };
+    assert_eq!(misses("0"), 0, "no group consults a disabled cache");
+    assert_eq!(misses("16"), 2, "both groups consult an enabled one");
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -530,7 +530,7 @@ pub(crate) fn check_items<'a>(
     state: CheckerState,
     deadline: Option<std::time::Instant>,
 ) -> Result<(Vec<TypedControl>, CheckerState, LineageGraph), Vec<Diagnostic>> {
-    check_items_run(items, lattice, opts, default_pc, ctx, state, deadline, None, false)
+    check_items_run(items, lattice, opts, default_pc, ctx, state, deadline, None, None)
         .map(|out| (out.controls, out.state, out.lineage))
 }
 
@@ -544,8 +544,8 @@ pub(crate) struct ResumeSeed {
     pub(crate) controls_len: u32,
 }
 
-/// One mid-run snapshot candidate: the carried state after `items_done`
-/// items, plus how much of the run's output belongs to that prefix.
+/// One mid-run snapshot: the carried state after `items_done` items, plus
+/// how much of the run's output belongs to that prefix.
 pub(crate) struct RunCheckpoint {
     pub(crate) items_done: u32,
     pub(crate) state: CheckerState,
@@ -554,7 +554,8 @@ pub(crate) struct RunCheckpoint {
 }
 
 /// A successful [`check_items_run`]: combined (seed + new) outputs, plus
-/// the checkpoint candidates and rendered flow log when collecting.
+/// the tier-pure checkpoints and, when there are any, the rendered flow
+/// log they share.
 pub(crate) struct RunOutput {
     pub(crate) controls: Vec<TypedControl>,
     pub(crate) state: CheckerState,
@@ -563,13 +564,30 @@ pub(crate) struct RunOutput {
     pub(crate) seed_edges: Option<crate::prefix::SeedEdges>,
 }
 
+/// Watermarks of a run's append-only outputs at its last tier-pure item
+/// boundary. Everything before them is known to be pure, so the next
+/// boundary only checks what its item appended.
+#[derive(Clone, Copy)]
+struct PureMark {
+    defs: (usize, usize),
+    globals: usize,
+    sigs: usize,
+    controls: usize,
+}
+
 /// The full item-run driver behind [`check_items`]. With `resume`, the
 /// run continues from a prefix snapshot: the seed's controls are adopted
 /// and its rendered edges prepend the flow log, so traces and verdicts
-/// come out byte-identical to a cold check of the whole program. With
-/// `collect`, per-item checkpoints are gathered (only while no diagnostic
-/// has fired — failed runs never produce snapshots) and the run's flow
-/// log is rendered to owned edges for future seeding.
+/// come out byte-identical to a cold check of the whole program.
+///
+/// With `tiers = Some((max_sym, max_ty))`, a checkpoint is cloned at every
+/// item boundary whose carried state and controls lie below those tier
+/// boundaries (see [`CheckerState::within_tiers`]) — exactly the ones a
+/// session may store — and the run's flow log is rendered to owned edges
+/// for future seeding if any was taken. State is append-only, so purity
+/// is prefix-monotone: each boundary checks only what its item appended,
+/// and the first impure boundary (or diagnostic — failed runs never
+/// produce snapshots) ends collection for the rest of the run.
 ///
 /// # Errors
 ///
@@ -584,9 +602,10 @@ pub(crate) fn check_items_run<'a>(
     state: CheckerState,
     deadline: Option<std::time::Instant>,
     resume: Option<ResumeSeed>,
-    collect: bool,
+    tiers: Option<(usize, usize)>,
 ) -> Result<RunOutput, Vec<Diagnostic>> {
-    debug_assert!(resume.is_none() || !collect, "resumed runs never collect checkpoints");
+    debug_assert!(resume.is_none() || tiers.is_none(), "resumed runs never collect checkpoints");
+    let mut tiers = tiers.filter(|&(max_sym, max_ty)| state.within_tiers(max_sym, max_ty));
     let TyCtx { syms, types } = ctx;
     let labels = LabelTable::new(lattice, syms);
     let mut checker = Checker {
@@ -621,6 +640,7 @@ pub(crate) fn check_items_run<'a>(
         None => Vec::new(),
     };
     let mut checkpoints = Vec::new();
+    let mut mark = checker.pure_mark(controls.len());
     for (items_done, item) in (1_u32..).zip(items) {
         if checker.deadline_expired() {
             break;
@@ -636,22 +656,37 @@ pub(crate) fn check_items_run<'a>(
                 }
             }
         }
-        if collect && checker.diags.is_empty() {
-            checkpoints.push(RunCheckpoint {
-                items_done,
-                state: CheckerState {
-                    defs: checker.defs.clone(),
-                    env: checker.env.clone(),
-                    sig_functions: checker.sig_functions.clone(),
-                },
-                controls_len: controls.len() as u32,
-                edges_len: checker.log.edges.len() as u32,
-            });
+        let Some((max_sym, max_ty)) = tiers else { continue };
+        let pure =
+            checker.diags.is_empty() && checker.pure_since(&mark, &controls, max_sym, max_ty);
+        debug_assert_eq!(
+            pure,
+            checker.diags.is_empty()
+                && checker.defs.within_tiers(max_sym, max_ty)
+                && checker.env.within_tiers(max_sym, max_ty)
+                && checker.sig_functions.iter().all(|(_, f)| fnty_within_tiers(f, max_sym, max_ty))
+                && controls.iter().all(|c| control_within_tiers(c, max_sym, max_ty)),
+            "incremental boundary purity agrees with a full rescan"
+        );
+        if !pure {
+            tiers = None;
+            continue;
         }
+        checkpoints.push(RunCheckpoint {
+            items_done,
+            state: CheckerState {
+                defs: checker.defs.clone(),
+                env: checker.env.clone(),
+                sig_functions: checker.sig_functions.clone(),
+            },
+            controls_len: controls.len() as u32,
+            edges_len: checker.log.edges.len() as u32,
+        });
+        mark = checker.pure_mark(controls.len());
     }
 
     if checker.diags.is_empty() {
-        let seed_edges = collect.then(|| checker.rendered_seed());
+        let seed_edges = (!checkpoints.is_empty()).then(|| checker.rendered_seed());
         let state = CheckerState {
             defs: checker.defs,
             env: checker.env,
@@ -976,6 +1011,37 @@ struct Checker<'a> {
 impl<'a> Checker<'a> {
     fn error(&mut self, code: DiagCode, message: impl Into<String>, span: Span) {
         self.diags.push(Diagnostic::new(code, message, span));
+    }
+
+    /// The current watermarks of the carried state, with `controls`
+    /// checked controls so far (see [`PureMark`]).
+    fn pure_mark(&self, controls: usize) -> PureMark {
+        PureMark {
+            defs: self.defs.mark(),
+            globals: self.env.globals_len(),
+            sigs: self.sig_functions.len(),
+            controls,
+        }
+    }
+
+    /// Whether what was appended since `mark` — Δ entries, global
+    /// bindings, function signatures, and checked controls — lies below
+    /// the tier boundaries. Given a pure state at `mark`, this is exactly
+    /// [`CheckerState::within_tiers`] plus [`control_within_tiers`] over
+    /// every control, at a fraction of the cost.
+    fn pure_since(
+        &self,
+        mark: &PureMark,
+        controls: &[TypedControl],
+        max_sym: usize,
+        max_ty: usize,
+    ) -> bool {
+        self.defs.within_tiers_since(mark.defs, max_sym, max_ty)
+            && self.env.within_tiers_since(mark.globals, max_sym, max_ty)
+            && self.sig_functions[mark.sigs..]
+                .iter()
+                .all(|(_, f)| fnty_within_tiers(f, max_sym, max_ty))
+            && controls[mark.controls..].iter().all(|c| control_within_tiers(c, max_sym, max_ty))
     }
 
     /// Polls the wall-clock budget. On first expiry, emits the one

@@ -143,6 +143,24 @@ impl TypeDefs {
             && self.by_sym.iter().enumerate().all(|(ix, e)| e.is_none() || ix < max_sym)
     }
 
+    /// Lengths of Δ's two append-only logs (named types, match kinds):
+    /// the watermark [`within_tiers_since`](TypeDefs::within_tiers_since)
+    /// starts from.
+    #[must_use]
+    pub fn mark(&self) -> (usize, usize) {
+        (self.entries.len(), self.match_kinds.len())
+    }
+
+    /// [`within_tiers`](TypeDefs::within_tiers) for a table whose part
+    /// before `mark` is already known to lie below the boundaries: only
+    /// what was defined since is checked. Δ only grows, so the two agree.
+    #[must_use]
+    pub fn within_tiers_since(&self, mark: (usize, usize), max_sym: usize, max_ty: usize) -> bool {
+        self.entries[mark.0..].iter().all(|(_, t)| t.ty.index() < max_ty)
+            && self.match_kinds[mark.1..].iter().all(|(s, _)| s.index() < max_sym)
+            && self.by_sym.get(max_sym..).is_none_or(|tail| tail.iter().all(Option::is_none))
+    }
+
     /// Rebuilds Δ with every handle translated through a refreeze remap
     /// (see [`IdRemap`](p4bid_ast::pool::IdRemap)).
     #[must_use]
@@ -374,6 +392,28 @@ impl ScopedEnv {
             && self.slots.iter().enumerate().all(|(ix, stack)| {
                 stack.is_empty()
                     || (ix < max_sym && stack.iter().all(|(_, v)| v.ty.ty.index() < max_ty))
+            })
+    }
+
+    /// Number of global bindings: the global scope's undo log, which only
+    /// grows (the watermark for
+    /// [`within_tiers_since`](ScopedEnv::within_tiers_since)).
+    #[must_use]
+    pub fn globals_len(&self) -> usize {
+        self.scopes[0].len()
+    }
+
+    /// [`within_tiers`](ScopedEnv::within_tiers) for an environment whose
+    /// first `mark` global bindings are already known to lie below the
+    /// boundaries: only the globals declared since are checked. With only
+    /// the global scope live, the non-empty slots are exactly the global
+    /// bindings, so the two agree.
+    #[must_use]
+    pub fn within_tiers_since(&self, mark: usize, max_sym: usize, max_ty: usize) -> bool {
+        self.scopes.len() == 1
+            && self.scopes[0][mark..].iter().all(|s| {
+                s.index() < max_sym
+                    && self.slots[s.index()].iter().all(|(_, v)| v.ty.ty.index() < max_ty)
             })
     }
 

@@ -40,17 +40,19 @@
 //! ```
 
 use crate::checker::{
-    check_items, check_items_run, control_within_tiers, lattice_from_decl, resolve_default_pc,
-    resolve_lattice, CheckOptions, CheckerState, ProgramView, ResumeSeed, TypedProgram,
+    check_items, check_items_run, lattice_from_decl, resolve_default_pc, resolve_lattice,
+    CheckOptions, CheckerState, ProgramView, ResumeSeed, TypedProgram,
 };
 use crate::diag::{DiagCode, Diagnostic};
 use crate::prefix::{PrefixCache, PrefixEntry};
-use crate::{prelude_arc, PRELUDE_CHECKS};
+use crate::{prelude_arc, PreludeBuildCounts, PRELUDE_LEXES, PRELUDE_PARSES};
 use p4bid_ast::pool::{CtxOverlay, FrozenTyCtx, SharedTyCtx, TyCtx};
 use p4bid_ast::surface::Program;
 use p4bid_lattice::Lattice;
 use p4bid_syntax::{ItemSeg, Token, TokenKind};
+use std::cell::OnceCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on the shared prefix-snapshot cache (entries, across all
@@ -67,12 +69,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// State shared by every session of one core (and carried across
 /// refreezes, whose id-stability keeps the contents valid): the prefix
-/// snapshot cache and the publish-once table of checked-prelude states
-/// for program-supplied lattices.
+/// snapshot cache, the publish-once table of checked-prelude states for
+/// program-supplied lattices, and the core's prelude build count.
 #[derive(Debug)]
 struct CoreShared {
     /// Prefix cache bound (`0` disables; fixed at construction).
     prefix_cap: usize,
+    /// Prelude type-checks run by this core's sessions, including the
+    /// one that froze it (see [`SharedSessionCore::build_counts`]).
+    prelude_checks: AtomicU64,
     prefix: Mutex<PrefixCache>,
     /// Checked-prelude states for lattices first seen after the freeze,
     /// published once by whichever worker builds them first (only
@@ -85,9 +90,25 @@ impl CoreShared {
     fn new(cap: usize) -> Self {
         CoreShared {
             prefix_cap: cap,
+            prelude_checks: AtomicU64::new(0),
             prefix: Mutex::new(PrefixCache::new(cap)),
             lattice_states: Mutex::new(Vec::new()),
         }
+    }
+}
+
+/// A submission's source and tokens, with their item segmentation
+/// computed on first need: only a non-empty prefix cache (to probe) or a
+/// run that took a checkpoint (to key it) pays for it.
+struct Segmented<'a> {
+    source: &'a str,
+    tokens: &'a [Token],
+    segs: OnceCell<Vec<ItemSeg>>,
+}
+
+impl Segmented<'_> {
+    fn segs(&self) -> &[ItemSeg] {
+        self.segs.get_or_init(|| p4bid_syntax::item_segments(self.source, self.tokens))
     }
 }
 
@@ -144,6 +165,8 @@ pub struct CheckerSession {
     /// Publish-once lattice-state counters.
     lattice_state_hits: u64,
     lattice_states_published: u64,
+    /// Prelude type-checks this session ran.
+    prelude_checks: u64,
 }
 
 impl CheckerSession {
@@ -164,6 +187,7 @@ impl CheckerSession {
             prefix_items_saved: 0,
             lattice_state_hits: 0,
             lattice_states_published: 0,
+            prelude_checks: 0,
         }
     }
 
@@ -288,6 +312,7 @@ impl CheckerSession {
             prefix_items_saved: self.prefix_items_saved,
             lattice_state_hits: self.lattice_state_hits,
             lattice_states_published: self.lattice_states_published,
+            prelude_checks: self.prelude_checks,
         }
     }
 
@@ -319,7 +344,7 @@ impl CheckerSession {
                     return Err(malformed(&e));
                 }
             };
-            return self.check_cold(user, source, &[]);
+            return self.check_cold(user, None);
         }
         let tokens = match p4bid_syntax::lex(source) {
             Ok(t) => t,
@@ -328,8 +353,8 @@ impl CheckerSession {
                 return Err(malformed(&e));
             }
         };
-        let segs = p4bid_syntax::item_segments(source, &tokens);
-        if let Some(result) = self.try_resume(source, &tokens, &segs) {
+        let text = Segmented { source, tokens: &tokens, segs: OnceCell::new() };
+        if let Some(result) = self.try_resume(&text) {
             return result;
         }
         self.prefix_misses += 1;
@@ -340,7 +365,7 @@ impl CheckerSession {
                 return Err(malformed(&e));
             }
         };
-        self.check_cold(user, source, &segs)
+        self.check_cold(user, Some(&text))
     }
 
     /// Checks an already-parsed user program against the session prelude.
@@ -352,23 +377,26 @@ impl CheckerSession {
     ///
     /// Returns the full list of type/flow errors.
     pub fn check_parsed(&mut self, user: Program) -> Result<TypedProgram, Vec<Diagnostic>> {
-        self.check_cold(user, "", &[])
+        self.check_cold(user, None)
     }
 
-    /// The cold check path: full run over all user items, collecting
-    /// per-item prefix snapshots when the splitter's segmentation aligns
-    /// with the parse (one segment per item) and the cache is enabled.
+    /// The cold check path: full run over all user items. With `text`
+    /// (the cache is enabled), per-item prefix snapshots are collected
+    /// and stored when the splitter's segmentation aligns with the parse
+    /// (one segment per item). Only boundaries the cache would keep
+    /// (tier-pure ones) are snapshotted, so a run whose first boundary is
+    /// impure — any program on a fresh shared core — pays nothing for
+    /// snapshotting, not even the segmentation.
     fn check_cold(
         &mut self,
         user: Program,
-        source: &str,
-        segs: &[ItemSeg],
+        text: Option<&Segmented<'_>>,
     ) -> Result<TypedProgram, Vec<Diagnostic>> {
         let deadline = self.deadline.take().or_else(|| self.opts.deadline_from_now());
         let lattice = resolve_lattice(&user, &self.opts)?;
         let default_pc = resolve_default_pc(&lattice, &self.opts)?;
         let state = CheckerState::clone(&*self.prelude_state(&lattice)?);
-        let collect = !segs.is_empty() && segs.len() == user.items.len();
+        let tiers = text.map(|_| self.tier_limits());
 
         let out = {
             let mut ctx = self.ctx.borrow_mut();
@@ -381,29 +409,23 @@ impl CheckerSession {
                 state,
                 deadline,
                 None,
-                collect,
+                tiers,
             )?
         };
 
         // The interpreter needs the prelude definitions in the program
         // body, exactly as `check_source` includes them; the view shares
         // them (and the user items) instead of deep-copying.
-        let (items, controls) = if collect {
-            let items = Arc::new(user.items);
-            let controls = Arc::new(out.controls);
-            let seed = Arc::new(out.seed_edges.unwrap_or_default());
-            self.insert_checkpoints(
-                source,
-                segs,
-                &lattice,
-                &items,
-                &controls,
-                &seed,
-                out.checkpoints,
-            );
-            (items, (*controls).clone())
-        } else {
-            (Arc::new(user.items), out.controls)
+        let items = Arc::new(user.items);
+        let aligned = text.filter(|t| !out.checkpoints.is_empty() && t.segs().len() == items.len());
+        let controls = match aligned {
+            None => out.controls,
+            Some(text) => {
+                let controls = Arc::new(out.controls);
+                let seed = Arc::new(out.seed_edges.unwrap_or_default());
+                self.insert_checkpoints(text, &lattice, &items, &controls, &seed, out.checkpoints);
+                (*controls).clone()
+            }
         };
         let items_len = items.len();
         Ok(TypedProgram {
@@ -422,28 +444,34 @@ impl CheckerSession {
     /// conservatively).
     fn try_resume(
         &mut self,
-        source: &str,
-        tokens: &[Token],
-        segs: &[ItemSeg],
+        text: &Segmented<'_>,
     ) -> Option<Result<TypedProgram, Vec<Diagnostic>>> {
-        if segs.is_empty() {
-            return None;
-        }
-        let lattice = self.quick_lattice(source, tokens, segs)?;
-        let entry = {
+        let Segmented { source, tokens, .. } = *text;
+        let (lattice, entry) = {
             let mut cache = lock(&self.shared.prefix);
-            (0..segs.len()).rev().find_map(|d| {
+            // An empty cache (every check on a fresh core) has nothing to
+            // probe at any depth.
+            if cache.len() == 0 {
+                return None;
+            }
+            let segs = text.segs();
+            if segs.is_empty() {
+                return None;
+            }
+            let lattice = self.quick_lattice(source, tokens, segs)?;
+            let entry = (0..segs.len()).rev().find_map(|d| {
                 cache.probe(
                     segs[d].chain,
                     &lattice,
                     &source[..segs[d].byte_end as usize],
                     (d + 1) as u32,
                 )
-            })
-        }?;
+            })?;
+            (lattice, entry)
+        };
         self.prefix_hits += 1;
         self.prefix_items_saved += u64::from(entry.items);
-        Some(self.resume_with(source, tokens, segs, lattice, entry))
+        Some(self.resume_with(source, tokens, text.segs(), lattice, entry))
     }
 
     /// Completes a snapshot hit: parses and checks only the suffix past
@@ -493,7 +521,7 @@ impl CheckerSession {
                 entry.state,
                 deadline,
                 Some(resume),
-                false,
+                None,
             )?
         };
         // O(suffix) assembly: the prefix AST is the snapshot's `Arc`,
@@ -563,35 +591,23 @@ impl CheckerSession {
     }
 
     /// Records the checkpoints of a clean, aligned cold run into the
-    /// shared prefix cache. Only tier-pure checkpoints are inserted
-    /// (state append-only ⟹ purity is prefix-monotone, so the scan stops
-    /// at the first impure one); failed and timed-out runs never reach
-    /// here, which is what keeps panics and transient verdicts from
-    /// poisoning the snapshot tree.
-    #[allow(clippy::too_many_arguments)]
+    /// shared prefix cache. The run only took tier-pure checkpoints (it
+    /// checks purity at each boundary, see
+    /// [`check_items_run`](crate::checker::check_items_run)); failed and
+    /// timed-out runs never reach here, which is what keeps panics and
+    /// transient verdicts from poisoning the snapshot tree.
     fn insert_checkpoints(
         &mut self,
-        source: &str,
-        segs: &[ItemSeg],
+        text: &Segmented<'_>,
         lattice: &Lattice,
         items: &Arc<Vec<p4bid_ast::surface::Item>>,
         controls: &Arc<Vec<crate::TypedControl>>,
         seed: &Arc<crate::prefix::SeedEdges>,
         checkpoints: Vec<crate::checker::RunCheckpoint>,
     ) {
-        if checkpoints.is_empty() {
-            return;
-        }
-        let (max_sym, max_ty) = self.tier_limits();
+        let (source, segs) = (text.source, text.segs());
         let mut cache = lock(&self.shared.prefix);
         for cp in checkpoints {
-            if !cp.state.within_tiers(max_sym, max_ty)
-                || !controls[..cp.controls_len as usize]
-                    .iter()
-                    .all(|c| control_within_tiers(c, max_sym, max_ty))
-            {
-                break;
-            }
             let seg = &segs[cp.items_done as usize - 1];
             cache.insert(
                 seg.chain,
@@ -632,7 +648,8 @@ impl CheckerSession {
             return Ok(state);
         }
         let default_pc = resolve_default_pc(lattice, &self.opts)?;
-        PRELUDE_CHECKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.shared.prelude_checks.fetch_add(1, Ordering::Relaxed);
+        self.prelude_checks += 1;
         let (_, state, _) = {
             let mut ctx = self.ctx.borrow_mut();
             // The prelude is trusted input and its snapshot is shared by
@@ -719,6 +736,20 @@ impl SharedSessionCore {
         self.shared.prefix_cap
     }
 
+    /// Prelude build counts of this core: `checks` counts the prelude
+    /// type-checks run by its sessions — one when it was frozen, none
+    /// after for the default lattice — so concurrent cores never blur
+    /// each other's counts. `lexes` and `parses` are process-wide (both
+    /// results are cached once per process, never per core).
+    #[must_use]
+    pub fn build_counts(&self) -> PreludeBuildCounts {
+        PreludeBuildCounts {
+            lexes: PRELUDE_LEXES.load(Ordering::Relaxed),
+            parses: PRELUDE_PARSES.load(Ordering::Relaxed),
+            checks: self.shared.prelude_checks.load(Ordering::Relaxed),
+        }
+    }
+
     /// Number of prefix snapshots currently held by this core's cache.
     #[must_use]
     pub fn prefix_cache_len(&self) -> usize {
@@ -758,6 +789,7 @@ impl SharedSessionCore {
             prefix_items_saved: 0,
             lattice_state_hits: 0,
             lattice_states_published: 0,
+            prelude_checks: 0,
         }
     }
 
@@ -852,6 +884,9 @@ pub struct SessionStats {
     /// Program-lattice prelude states this session built *and* published
     /// to the shared table (pure states only).
     pub lattice_states_published: u64,
+    /// Prelude type-checks this session ran (one per cold session and
+    /// lattice; none for the default lattice off a shared core).
+    pub prelude_checks: u64,
 }
 
 impl SessionStats {
@@ -874,6 +909,7 @@ impl SessionStats {
         self.prefix_items_saved += other.prefix_items_saved;
         self.lattice_state_hits += other.lattice_state_hits;
         self.lattice_states_published += other.lattice_states_published;
+        self.prelude_checks += other.prelude_checks;
     }
 
     /// Fraction of symbol intern calls served by the frozen segment.
@@ -1157,6 +1193,74 @@ mod tests {
         let stats3 = s3.stats();
         assert_eq!(stats3.prefix_hits, 1, "cross-session snapshot hit: {stats3:?}");
         assert_eq!(stats3.prefix_items_saved, 1);
+    }
+
+    /// The purity cut: once a refreeze has promoted the names of the
+    /// first `k` items, a program whose item `k + 1` brings a fresh name
+    /// is snapshotted at exactly its first `k` boundaries, and an edit
+    /// past item `k + 1` resumes at depth `k` with the bytes of a cold
+    /// check.
+    #[test]
+    fn purity_cut_snapshots_exactly_the_promoted_prefix() {
+        let known = "typedef bit<8> octet;\n\
+                     header h_t { <octet, high> secret; <octet, low> public; }\n\
+                     function octet idf(in octet x) { return x; }\n";
+        let k = 3;
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        let mut teach = core.session();
+        teach.check(known).expect("accepts");
+        let core = core.refreeze(vec![teach.into_harvest().expect("sole owner harvests")]);
+
+        let fresh = "header fresh_t { <octet, low> novel; }\n";
+        let program = |tail: &str| format!("{known}{fresh}{tail}");
+        let mut s = core.session();
+        s.check(&program("control C(inout h_t h) { apply { h.public = idf(h.public); } }"))
+            .expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, k, "{:?}", s.stats());
+        assert_eq!(core.prefix_cache_len(), k as usize);
+
+        for tail in [
+            "control D(inout h_t h) { apply { h.public = h.public + 8w1; } }",
+            "control D(inout h_t h, inout fresh_t f) { apply { f.novel = idf(h.secret); } }",
+        ] {
+            let src = program(tail);
+            let mut warm = core.session();
+            let resumed = warm.check(&src);
+            let stats = warm.stats();
+            assert_eq!((stats.prefix_hits, stats.prefix_items_saved), (1, k), "{stats:?}");
+            let cold =
+                CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0).check(&src);
+            match (resumed, cold) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.program, b.program, "{tail}");
+                    assert_eq!(format!("{:?}", a.lineage), format!("{:?}", b.lineage), "{tail}");
+                }
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tail}"),
+                (a, b) => panic!("verdicts diverge on {tail}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_core_sessions_store_nothing_for_impure_programs() {
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        let mut s = core.session();
+        s.check("typedef bit<8> octet;\ncontrol C(inout octet x) { apply { x = x + 8w1; } }")
+            .expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, 0);
+        assert_eq!(core.prefix_cache_len(), 0);
+    }
+
+    #[test]
+    fn root_tier_sessions_snapshot_every_boundary() {
+        let src = "typedef bit<8> octet;\n\
+                   header h_t { <octet, high> secret; <octet, low> public; }\n\
+                   function octet idf(in octet x) { return x; }\n\
+                   control C(inout h_t h) { apply { h.public = idf(h.public); } }\n\
+                   control D(inout h_t h) { apply { h.public = h.public + 8w1; } }";
+        let mut s = CheckerSession::new(CheckOptions::ifc());
+        s.check(src).expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, 5, "one snapshot per item boundary");
     }
 
     #[test]
