@@ -6,7 +6,9 @@
 //! worker of a small dependency-free work-stealing thread pool a cheap
 //! overlay [`CheckerSession`] cloned off it: every worker owns a deque of
 //! program indices, pops from its own front, and steals from the back of
-//! its neighbours when it runs dry. Results are collected per worker and
+//! its neighbours when it runs dry. The calling thread is one of the
+//! workers, and helpers are spawned only when there is more than one
+//! program to check. Results are collected per worker and
 //! merged **by input index**, never by completion order, so the rendered
 //! reports are byte-identical run over run, across `--jobs` settings, and
 //! across the shared-core vs cold-session paths — the contract the
@@ -40,7 +42,7 @@ use p4bid_typeck::{
 };
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One program in a batch: a display name plus its source text.
 #[derive(Debug, Clone)]
@@ -553,6 +555,312 @@ impl StealQueue {
     }
 }
 
+/// Where one pool slot's worker sessions come from.
+pub(crate) enum SessionSource {
+    /// Cheap overlay sessions cloned off a frozen shared core.
+    Core(SharedSessionCore),
+    /// Cold sessions that each re-check the prelude (the historical
+    /// per-worker path [`check_batch_cold`] keeps alive).
+    Cold(CheckOptions),
+}
+
+impl SessionSource {
+    fn session(&self) -> CheckerSession {
+        match self {
+            SessionSource::Core(core) => core.session(),
+            SessionSource::Cold(opts) => CheckerSession::new(opts.clone()),
+        }
+    }
+}
+
+/// One check of a pool pass: the slot whose sessions check it, and the
+/// position of its input in the pool's input list.
+pub(crate) type PoolTask = (usize, usize);
+
+/// What a pool leaves behind once its helpers are joined: every worker
+/// session's counters (merged once, at the end) and, when asked for,
+/// their harvests.
+#[derive(Default)]
+pub(crate) struct PoolOutcome {
+    pub(crate) stats: BatchStats,
+    pub(crate) harvests: Vec<p4bid_typeck::SessionHarvest>,
+}
+
+/// The per-slot sessions one worker owns. Sessions hold `Rc`-backed
+/// overlay tables, so they never leave the worker's thread; they live
+/// for the whole pool, keyed by slot, so a worker that checks slot `k`
+/// in several passes reuses one warm session.
+#[derive(Default)]
+struct WorkerSessions {
+    by_slot: Vec<Option<CheckerSession>>,
+}
+
+impl WorkerSessions {
+    /// Drains `pass` as `worker`, checking each task with this worker's
+    /// session for the task's slot (built on first use).
+    fn drain(&mut self, shared: &PoolShared<'_>, pass: &Pass, worker: usize) -> Vec<ProgramReport> {
+        let mut out = Vec::new();
+        if worker >= pass.queue.workers() {
+            return out;
+        }
+        while let Some(t) = pass.queue.next_task(worker) {
+            let (slot, i) = pass.tasks[t];
+            let make_session = || lock(&shared.sources)[slot].session();
+            if self.by_slot.len() <= slot {
+                self.by_slot.resize_with(slot + 1, || None);
+            }
+            let session = self.by_slot[slot].get_or_insert_with(make_session);
+            out.push(check_one_isolated(session, make_session, i, &shared.inputs[i]));
+        }
+        out
+    }
+
+    /// Merges every session's counters and, with `harvest`, consumes the
+    /// sessions into harvests.
+    fn finish(self, harvest: bool) -> PoolOutcome {
+        let mut outcome = PoolOutcome::default();
+        for session in self.by_slot.into_iter().flatten() {
+            outcome.stats.absorb(&session.stats());
+            if harvest {
+                outcome.harvests.extend(session.into_harvest());
+            }
+        }
+        outcome
+    }
+}
+
+/// One published pass: its tasks and the work-stealing queue over them.
+struct Pass {
+    tasks: Vec<PoolTask>,
+    queue: StealQueue,
+}
+
+/// The pool state helpers wait on.
+#[derive(Default)]
+struct PoolState {
+    /// Bumped on every pass published to the helpers.
+    generation: u64,
+    pass: Option<Arc<Pass>>,
+    /// Results the helpers have handed back for the current pass.
+    results: Vec<ProgramReport>,
+    shutdown: bool,
+    /// A helper died outside the per-program containment boundary.
+    helper_failed: bool,
+}
+
+/// Everything the caller and its helpers share.
+struct PoolShared<'env> {
+    inputs: &'env [BatchInput],
+    sources: Mutex<Vec<SessionSource>>,
+    state: Mutex<PoolState>,
+    /// Helpers park here between passes.
+    wake: Condvar,
+    /// The caller waits here for helpers to hand back a pass's results.
+    done: Condvar,
+}
+
+/// Flags a helper's death (a panic outside [`check_one_isolated`]'s
+/// boundary) so a caller waiting on the pass fails instead of hanging.
+struct HelperGuard<'a, 'env>(&'a PoolShared<'env>);
+
+impl Drop for HelperGuard<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(&self.0.state).helper_failed = true;
+            self.0.done.notify_all();
+        }
+    }
+}
+
+/// A helper thread's life: park until a pass is published, drain it,
+/// hand the results back, park again; on shutdown, report its sessions.
+fn helper_loop(
+    shared: &PoolShared<'_>,
+    worker: usize,
+    mut seen: u64,
+    harvest: bool,
+) -> PoolOutcome {
+    let _guard = HelperGuard(shared);
+    let mut sessions = WorkerSessions::default();
+    'passes: loop {
+        let pass = {
+            let mut st = lock(&shared.state);
+            loop {
+                if st.shutdown {
+                    break 'passes;
+                }
+                if st.generation != seen {
+                    seen = st.generation;
+                    // `None`: the pass finished before this helper woke.
+                    if let Some(pass) = &st.pass {
+                        break Arc::clone(pass);
+                    }
+                }
+                st = shared.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let out = sessions.drain(shared, &pass, worker);
+        if !out.is_empty() {
+            let mut st = lock(&shared.state);
+            st.results.extend(out);
+            shared.done.notify_one();
+        }
+    }
+    sessions.finish(harvest)
+}
+
+/// A worker pool that lives for one scope — a batch, or one topology
+/// epoch — and runs any number of *passes* over a fixed input list.
+///
+/// The calling thread is worker 0 and checks alongside its helpers.
+/// Helpers are spawned lazily, at most `jobs − 1` of them and only once a
+/// pass has two or more tasks, so a one-program batch or a one-switch
+/// topology never leaves the caller's thread. Between passes helpers park
+/// on a condvar rather than exiting, and every worker keeps one session
+/// per slot for the pool's whole life. Tasks are tagged with their slot,
+/// so one pass can mix programs checked under different cores. A pass's
+/// verdicts come back sorted by input index, never by completion order.
+pub(crate) struct CheckPool<'scope, 'env> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shared: Arc<PoolShared<'env>>,
+    jobs: usize,
+    harvest: bool,
+    helpers: Vec<std::thread::ScopedJoinHandle<'scope, PoolOutcome>>,
+    local: WorkerSessions,
+    /// Failure-domain counters of every pass so far.
+    failures: BatchStats,
+}
+
+/// Runs `f` with a [`CheckPool`] of `jobs` workers over `inputs`, then
+/// joins the helpers and returns `f`'s result with the pool's outcome.
+/// With `harvest`, every worker session is consumed into a
+/// [`p4bid_typeck::SessionHarvest`] at the end.
+pub(crate) fn with_pool<'env, R>(
+    inputs: &'env [BatchInput],
+    jobs: usize,
+    harvest: bool,
+    f: impl for<'scope> FnOnce(&mut CheckPool<'scope, 'env>) -> R,
+) -> (R, PoolOutcome) {
+    std::thread::scope(|scope| {
+        let mut pool = CheckPool {
+            scope,
+            shared: Arc::new(PoolShared {
+                inputs,
+                sources: Mutex::new(Vec::new()),
+                state: Mutex::new(PoolState::default()),
+                wake: Condvar::new(),
+                done: Condvar::new(),
+            }),
+            jobs: jobs.max(1),
+            harvest,
+            helpers: Vec::new(),
+            local: WorkerSessions::default(),
+            failures: BatchStats::default(),
+        };
+        let result = f(&mut pool);
+        (result, pool.finish())
+    })
+}
+
+impl CheckPool<'_, '_> {
+    /// Registers a session source and returns its slot (slots number in
+    /// registration order).
+    pub(crate) fn add_slot(&mut self, source: SessionSource) -> usize {
+        let mut sources = lock(&self.shared.sources);
+        sources.push(source);
+        sources.len() - 1
+    }
+
+    /// Number of registered slots.
+    pub(crate) fn slots(&self) -> usize {
+        lock(&self.shared.sources).len()
+    }
+
+    /// Helper threads spawned so far (the caller is not counted).
+    #[cfg(test)]
+    pub(crate) fn helpers(&self) -> usize {
+        self.helpers.len()
+    }
+
+    /// Checks every task as one pass and returns the verdicts sorted by
+    /// input index. Spawns helpers on the first pass that can use them.
+    pub(crate) fn run_pass(&mut self, tasks: Vec<PoolTask>) -> Vec<ProgramReport> {
+        let n = tasks.len();
+        let want = self.jobs.min(n).saturating_sub(1);
+        while self.helpers.len() < want {
+            let shared = Arc::clone(&self.shared);
+            let worker = self.helpers.len() + 1;
+            let seen = lock(&shared.state).generation;
+            let harvest = self.harvest;
+            self.helpers
+                .push(self.scope.spawn(move || helper_loop(&shared, worker, seen, harvest)));
+        }
+        let workers = (self.helpers.len() + 1).min(n).max(1);
+        let pass = Arc::new(Pass { queue: StealQueue::new(n, workers), tasks });
+        if workers > 1 {
+            let mut st = lock(&self.shared.state);
+            st.generation += 1;
+            st.pass = Some(Arc::clone(&pass));
+            drop(st);
+            self.shared.wake.notify_all();
+        }
+        let mut out = self.local.drain(&self.shared, &pass, 0);
+        if workers > 1 {
+            let mut st = lock(&self.shared.state);
+            while st.results.len() + out.len() < n {
+                assert!(!st.helper_failed, "batch worker panicked");
+                st = self.shared.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            out.append(&mut st.results);
+            st.pass = None;
+        }
+        // Deterministic contract: order by input index, not completion.
+        out.sort_by_key(|p| p.index);
+        self.failures.count_failure_domains(&out);
+        out
+    }
+
+    /// Stops and joins the helpers and merges every worker's sessions.
+    fn finish(mut self) -> PoolOutcome {
+        self.stop();
+        let mut outcome = std::mem::take(&mut self.local).finish(self.harvest);
+        for h in std::mem::take(&mut self.helpers) {
+            let helper = h.join().expect("batch worker panicked");
+            outcome.stats.merge(&helper.stats);
+            outcome.harvests.extend(helper.harvests);
+        }
+        outcome.stats.merge(&self.failures);
+        outcome
+    }
+
+    fn stop(&self) {
+        lock(&self.shared.state).shutdown = true;
+        self.shared.wake.notify_all();
+    }
+}
+
+impl Drop for CheckPool<'_, '_> {
+    /// Releases parked helpers even when the caller unwinds, so the
+    /// enclosing scope's implicit join cannot hang.
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Locks a pool mutex, riding through poisoning: a worker panic is
+/// contained per program, and the guarded state stays structurally valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Resolves a `--jobs` value: `0` means one worker per available core.
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
+    match jobs {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+}
+
 /// Checks every input against one freshly frozen [`SharedSessionCore`]
 /// and returns the ordered report.
 ///
@@ -575,7 +883,7 @@ pub fn check_batch_with_core(
     core: &SharedSessionCore,
     jobs: usize,
 ) -> BatchReport {
-    run_batch(inputs, jobs, || core.session())
+    run_batch(inputs, jobs, SessionSource::Core(core.clone()), false).0
 }
 
 /// [`check_batch_with_core`] that also harvests every worker session's
@@ -589,7 +897,7 @@ pub fn check_batch_harvesting(
     core: &SharedSessionCore,
     jobs: usize,
 ) -> (BatchReport, Vec<p4bid_typeck::SessionHarvest>) {
-    run_batch_inner(inputs, jobs, &|| core.session(), true)
+    run_batch(inputs, jobs, SessionSource::Core(core.clone()), true)
 }
 
 /// [`check_batch`] on the pre-shared-core path: every worker builds its
@@ -598,16 +906,16 @@ pub fn check_batch_harvesting(
 /// to the historical per-worker-session output.
 #[must_use]
 pub fn check_batch_cold(inputs: &[BatchInput], opts: &CheckOptions, jobs: usize) -> BatchReport {
-    run_batch(inputs, jobs, || CheckerSession::new(opts.clone()))
+    run_batch(inputs, jobs, SessionSource::Cold(opts.clone()), false).0
 }
 
 /// Checks a batch under a policy pack: each input's effective options are
-/// resolved from its *name*, inputs are grouped by distinct resolved
-/// option sets (in first-appearance order, so grouping is deterministic),
-/// and each group runs over its own shared core. Verdicts are re-merged by
-/// global input index, keeping the byte-identical-report contract intact —
-/// a pack that resolves every name to the base options produces exactly
-/// [`check_batch`]'s output.
+/// resolved from its *name*, and each distinct resolved option set (in
+/// first-appearance order, so the slots are deterministic) gets its own
+/// shared core. The whole batch then runs as **one** pool pass whose
+/// tasks are tagged with their core's slot, and verdicts merge by input
+/// index — a pack that resolves every name to the base options produces
+/// exactly [`check_batch`]'s output.
 #[must_use]
 pub fn check_batch_with_policy(
     inputs: &[BatchInput],
@@ -629,115 +937,59 @@ pub fn check_batch_with_policy_cap(
     jobs: usize,
     prefix_cap: usize,
 ) -> BatchReport {
-    let group_batch = |inputs: &[BatchInput], opts: &CheckOptions| {
-        let core = SharedSessionCore::with_prefix_cache_cap(opts.clone(), prefix_cap);
-        check_batch_with_core(inputs, &core, jobs)
+    let core_for = |opts: &CheckOptions| {
+        SessionSource::Core(SharedSessionCore::with_prefix_cache_cap(opts.clone(), prefix_cap))
     };
     if pack.is_empty() {
-        return group_batch(inputs, base);
+        return run_batch(inputs, jobs, core_for(base), false).0;
     }
-    let mut groups: Vec<(u64, CheckOptions, Vec<usize>)> = Vec::new();
+    let mut fps: Vec<u64> = Vec::new();
+    let mut sources: Vec<SessionSource> = Vec::new();
+    let mut tasks: Vec<PoolTask> = Vec::with_capacity(inputs.len());
     for (i, inp) in inputs.iter().enumerate() {
         let opts = pack.resolve(&inp.name, base);
         let fp = crate::serve::options_fingerprint(&opts);
-        match groups.iter_mut().find(|(g, _, _)| *g == fp) {
-            Some((_, _, ixs)) => ixs.push(i),
-            None => groups.push((fp, opts, vec![i])),
-        }
+        let slot = fps.iter().position(|&g| g == fp).unwrap_or_else(|| {
+            fps.push(fp);
+            sources.push(core_for(&opts));
+            fps.len() - 1
+        });
+        tasks.push((slot, i));
     }
-    let mut programs: Vec<ProgramReport> = Vec::with_capacity(inputs.len());
-    let mut stats = BatchStats::default();
-    let mut report_jobs = 1;
-    for (_, opts, ixs) in &groups {
-        let subset: Vec<BatchInput> = ixs.iter().map(|&i| inputs[i].clone()).collect();
-        let sub = group_batch(&subset, opts);
-        report_jobs = report_jobs.max(sub.jobs);
-        stats.merge(&sub.stats);
-        for mut p in sub.programs {
-            p.index = ixs[p.index];
-            programs.push(p);
-        }
-    }
-    programs.sort_by_key(|p| p.index);
-    BatchReport { programs, jobs: report_jobs, stats }
+    run_tasks(inputs, jobs, sources, tasks, false).0
 }
 
-/// The shared driver: fans `inputs` over `jobs` workers, each owning one
-/// session produced by `make_session`.
+/// The shared driver: checks every input with sessions from `source`.
 fn run_batch(
     inputs: &[BatchInput],
     jobs: usize,
-    make_session: impl Fn() -> CheckerSession + Sync,
-) -> BatchReport {
-    run_batch_inner(inputs, jobs, &make_session, false).0
-}
-
-/// [`run_batch`] with optional end-of-batch session harvesting: when
-/// `harvest` is set, every worker consumes its session into a
-/// [`p4bid_typeck::SessionHarvest`] after draining its queue (sessions a
-/// panic tore down mid-batch were already replaced, so their fresh
-/// substitute is harvested instead — an empty but valid overlay).
-fn run_batch_inner(
-    inputs: &[BatchInput],
-    jobs: usize,
-    make_session: &(impl Fn() -> CheckerSession + Sync),
+    source: SessionSource,
     harvest: bool,
 ) -> (BatchReport, Vec<p4bid_typeck::SessionHarvest>) {
-    let jobs = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    };
-    let jobs = jobs.min(inputs.len()).max(1);
+    let tasks = (0..inputs.len()).map(|i| (0, i)).collect();
+    run_tasks(inputs, jobs, vec![source], tasks, harvest)
+}
 
-    let mut stats = BatchStats::default();
-    let mut harvests: Vec<p4bid_typeck::SessionHarvest> = Vec::new();
-    let mut programs = if jobs == 1 {
-        let mut session = make_session();
-        let out: Vec<ProgramReport> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, inp)| check_one_isolated(&mut session, make_session, i, inp))
-            .collect();
-        stats.absorb(&session.stats());
-        if harvest {
-            harvests.extend(session.into_harvest());
+/// Runs `tasks` over `inputs` as one pass of a fresh [`CheckPool`] with
+/// `sources` as its slots. With `harvest`, every worker session is
+/// consumed into a [`p4bid_typeck::SessionHarvest`] after the pass
+/// (sessions a panic tore down mid-batch were already replaced, so their
+/// fresh substitute is harvested instead — an empty but valid overlay).
+fn run_tasks(
+    inputs: &[BatchInput],
+    jobs: usize,
+    sources: Vec<SessionSource>,
+    tasks: Vec<PoolTask>,
+    harvest: bool,
+) -> (BatchReport, Vec<p4bid_typeck::SessionHarvest>) {
+    let jobs = resolve_jobs(jobs).min(inputs.len()).max(1);
+    let (programs, outcome) = with_pool(inputs, jobs, harvest, |pool| {
+        for source in sources {
+            pool.add_slot(source);
         }
-        out
-    } else {
-        let queue = StealQueue::new(inputs.len(), jobs);
-        let mut collected: Vec<ProgramReport> = Vec::with_capacity(inputs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        // Sessions hold `Rc`-backed overlay tables, so each
-                        // worker owns one; only the frozen segment inside
-                        // is shared across threads.
-                        let mut session = make_session();
-                        let mut out = Vec::new();
-                        while let Some(i) = queue.next_task(w) {
-                            out.push(check_one_isolated(&mut session, make_session, i, &inputs[i]));
-                        }
-                        let session_stats = session.stats();
-                        let harvested = if harvest { session.into_harvest() } else { None };
-                        (out, session_stats, harvested)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (out, session_stats, harvested) = h.join().expect("batch worker panicked");
-                collected.extend(out);
-                stats.absorb(&session_stats);
-                harvests.extend(harvested);
-            }
-        });
-        collected
-    };
-    // Deterministic contract: order by input index, not completion.
-    programs.sort_by_key(|p| p.index);
-    stats.count_failure_domains(&programs);
-    (BatchReport { programs, jobs, stats }, harvests)
+        pool.run_pass(tasks)
+    });
+    (BatchReport { programs, jobs, stats: outcome.stats }, outcome.harvests)
 }
 
 /// [`check_one`] inside a crash containment boundary: a panicking check —
@@ -918,6 +1170,70 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "all tasks drained");
         for w in 0..q.workers() {
             assert_eq!(q.next_task(w), None);
+        }
+    }
+
+    #[test]
+    fn a_batch_of_one_stays_on_the_calling_thread() {
+        let inputs = synthetic_corpus(1);
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        let ((programs, helpers), outcome) = with_pool(&inputs, 8, false, |pool| {
+            let slot = pool.add_slot(SessionSource::Core(core.clone()));
+            (pool.run_pass(vec![(slot, 0)]), pool.helpers())
+        });
+        assert_eq!(helpers, 0, "a one-task pass spawns no helper");
+        assert!(programs[0].accepted);
+        assert_eq!(outcome.stats.workers, 1);
+    }
+
+    #[test]
+    fn pool_sessions_live_across_passes_keyed_by_slot() {
+        let inputs = mixed_inputs();
+        let plain = CheckOptions::ifc();
+        let permissive = CheckOptions::permissive();
+        let ((passes, helpers), outcome) = with_pool(&inputs, 2, false, |pool| {
+            let a = pool.add_slot(SessionSource::Core(SharedSessionCore::new(plain.clone())));
+            let b = pool.add_slot(SessionSource::Core(SharedSessionCore::new(permissive.clone())));
+            // Alternate which slot leads each pass, as fixpoint rounds do.
+            let passes: Vec<_> = (0..4)
+                .map(|k| {
+                    let slot = |i: usize| if (i + k).is_multiple_of(2) { a } else { b };
+                    (k, pool.run_pass((0..inputs.len()).map(|i| (slot(i), i)).collect()))
+                })
+                .collect();
+            (passes, pool.helpers())
+        });
+        assert_eq!(helpers, 1, "jobs 2: the caller plus one helper, spawned once");
+        assert!(outcome.stats.workers <= 4, "two workers × two slots: {:?}", outcome.stats);
+        let by_opts = [check_batch(&inputs, &plain, 1), check_batch(&inputs, &permissive, 1)];
+        for (k, programs) in passes {
+            assert_eq!(programs.len(), inputs.len());
+            for (i, p) in programs.iter().enumerate() {
+                let want = &by_opts[(i + k) % 2].programs[i];
+                assert_eq!(program_json(p), program_json(want), "pass {k} input {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_survives_many_short_passes() {
+        // Passes of 1–3 tasks: helpers wake late, find a finished pass, or
+        // sit one out — none of which may lose or duplicate a verdict.
+        let inputs = mixed_inputs();
+        let want = check_batch(&inputs, &CheckOptions::ifc(), 1);
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        let (checked, _) = with_pool(&inputs, 4, false, |pool| {
+            let slot = pool.add_slot(SessionSource::Core(core.clone()));
+            (0..300)
+                .flat_map(|k| {
+                    let tasks = (0..k % 3 + 1).map(|j| (slot, (k + j) % inputs.len())).collect();
+                    pool.run_pass(tasks)
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(checked.len(), 600);
+        for p in &checked {
+            assert_eq!(program_json(p), program_json(&want.programs[p.index]));
         }
     }
 

@@ -380,7 +380,8 @@ fn ingest_limits(args: &[String]) -> Result<IngestLimits, ()> {
 
 /// `--cache-cap N`: verdict-cache capacity (default 1024, `0` disables).
 fn cache_cap(args: &[String]) -> Result<usize, ()> {
-    Ok(u64_flag(args, "--cache-cap")?.map_or(1024, |n| n as usize))
+    Ok(u64_flag(args, "--cache-cap")?
+        .map_or(p4bid::serve::DEFAULT_VERDICT_CACHE_CAP, |n| n as usize))
 }
 
 /// `--prefix-cache-cap N`: prefix-snapshot cache capacity shared by the

@@ -785,23 +785,50 @@ pub fn options_fingerprint(opts: &CheckOptions) -> u64 {
 /// hit re-verifies the stored program body byte-for-byte, so a hash
 /// collision costs one cache miss, never a replayed wrong verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct VerdictKey {
-    content: u64,
-    opts: u64,
+pub(crate) struct VerdictKey {
+    pub(crate) content: u64,
+    pub(crate) opts: u64,
+}
+
+impl VerdictKey {
+    /// The key of `source` checked under the options fingerprinted `opts`.
+    pub(crate) fn new(source: &str, opts: u64) -> Self {
+        VerdictKey { content: fnv1a(source.as_bytes()), opts }
+    }
 }
 
 /// One cached verdict: everything content-determined in a
-/// [`ProgramReport`], plus the exact program body the verdict was
-/// computed from (checked on every hit — see [`VerdictKey`]). The index
-/// and name are request-specific and are re-attached on each hit, so a
-/// hit renders byte-identically to a fresh check of the same source
+/// [`ProgramReport`]. The cache stores it next to the exact program body
+/// it was computed from (checked on every hit — see [`VerdictKey`]). The
+/// index and name are request-specific and are re-attached on each hit,
+/// so a hit renders byte-identically to a fresh check of the same source
 /// under the same id.
 #[derive(Debug, Clone)]
-struct CachedVerdict {
-    source: String,
-    accepted: bool,
-    diagnostics: Vec<BatchDiagnostic>,
+pub(crate) struct CachedVerdict {
+    pub(crate) accepted: bool,
+    pub(crate) diagnostics: Vec<BatchDiagnostic>,
 }
+
+impl CachedVerdict {
+    /// The verdict half of a checked program's report.
+    pub(crate) fn of(p: &ProgramReport) -> Self {
+        CachedVerdict { accepted: p.accepted, diagnostics: p.diagnostics.clone() }
+    }
+
+    /// The verdict re-attached to a request's position and name.
+    pub(crate) fn report(self, index: usize, name: &str) -> ProgramReport {
+        ProgramReport {
+            index,
+            name: name.to_string(),
+            accepted: self.accepted,
+            diagnostics: self.diagnostics,
+        }
+    }
+}
+
+/// The default verdict-cache capacity (`--cache-cap`), also the bound of
+/// `p4bid topo`'s per-engine cache.
+pub const DEFAULT_VERDICT_CACHE_CAP: usize = 1024;
 
 /// Whether a verdict is transient — produced by a worker panic or an
 /// expired wall-clock budget rather than by the program's content. A
@@ -809,7 +836,7 @@ struct CachedVerdict {
 /// submission of the same body may well succeed, and a cached
 /// `E-INTERNAL` would replay the failure long after its cause (an
 /// injected fault, a scheduling hiccup) is gone.
-fn is_transient_verdict(diagnostics: &[BatchDiagnostic]) -> bool {
+pub(crate) fn is_transient_verdict(diagnostics: &[BatchDiagnostic]) -> bool {
     diagnostics.iter().any(|d| d.code == "E-INTERNAL" || d.code == "E-TIMEOUT")
 }
 
@@ -821,8 +848,8 @@ fn is_transient_verdict(diagnostics: &[BatchDiagnostic]) -> bool {
 /// eviction path. Insertion-order eviction would evict the *hottest*
 /// entry under churn — exactly the entry worth keeping.
 #[derive(Debug, Default)]
-struct VerdictCache {
-    map: HashMap<VerdictKey, (u64, CachedVerdict)>,
+pub(crate) struct VerdictCache {
+    map: HashMap<VerdictKey, (u64, String, CachedVerdict)>,
     cap: usize,
     /// Monotonic recency clock; bumped on every hit and insert.
     clock: u64,
@@ -831,7 +858,7 @@ struct VerdictCache {
 }
 
 impl VerdictCache {
-    fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         VerdictCache { cap, ..Default::default() }
     }
 
@@ -839,16 +866,16 @@ impl VerdictCache {
         self.cap > 0
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Looks up `key`, verifying the stored body equals `source`: a
     /// colliding body is a miss (and will overwrite the slot on insert),
     /// never a replayed verdict. Hits refresh the entry's recency.
-    fn lookup(&mut self, key: VerdictKey, source: &str) -> Option<CachedVerdict> {
+    pub(crate) fn lookup(&mut self, key: VerdictKey, source: &str) -> Option<CachedVerdict> {
         match self.map.get_mut(&key) {
-            Some((stamp, verdict)) if verdict.source == source => {
+            Some((stamp, body, verdict)) if body == source => {
                 self.clock += 1;
                 *stamp = self.clock;
                 self.hits += 1;
@@ -861,12 +888,20 @@ impl VerdictCache {
         }
     }
 
-    fn insert(&mut self, key: VerdictKey, verdict: CachedVerdict) {
+    /// Caches `verdict` for `source` under `key` — unless the verdict is
+    /// transient ([`is_transient_verdict`]), which is never cached.
+    pub(crate) fn insert(&mut self, key: VerdictKey, source: &str, verdict: CachedVerdict) {
+        if is_transient_verdict(&verdict.diagnostics) {
+            return;
+        }
         self.clock += 1;
-        if self.map.insert(key, (self.clock, verdict)).is_none() && self.map.len() > self.cap {
+        if self.map.insert(key, (self.clock, source.to_string(), verdict)).is_none()
+            && self.map.len() > self.cap
+        {
             // Evict the least-recently-used entry (stamps are unique, so
             // the minimum — and thus the cache state — is deterministic).
-            if let Some(&lru) = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k)
+            if let Some(&lru) =
+                self.map.iter().min_by_key(|(_, (stamp, _, _))| *stamp).map(|(k, _)| k)
             {
                 self.map.remove(&lru);
             }
@@ -1170,10 +1205,7 @@ impl ServeEngine {
         let mut first_miss: HashMap<VerdictKey, usize> = HashMap::new();
         let mut slots: Vec<(VerdictKey, Slot)> = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let key = VerdictKey {
-                content: fnv1a(input.source.as_bytes()),
-                opts: self.resolve_fp(&input.name),
-            };
+            let key = VerdictKey::new(&input.source, self.resolve_fp(&input.name));
             let slot = match self.cache.lookup(key, &input.source) {
                 Some(verdict) => Slot::Hit(verdict),
                 None => {
@@ -1208,24 +1240,12 @@ impl ServeEngine {
                 let verdict = match slot {
                     Slot::Hit(verdict) => verdict,
                     Slot::Miss(pos) => {
-                        let p = &checked.programs[pos];
-                        let verdict = CachedVerdict {
-                            source: inputs[index].source.clone(),
-                            accepted: p.accepted,
-                            diagnostics: p.diagnostics.clone(),
-                        };
-                        if !is_transient_verdict(&verdict.diagnostics) {
-                            self.cache.insert(key, verdict.clone());
-                        }
+                        let verdict = CachedVerdict::of(&checked.programs[pos]);
+                        self.cache.insert(key, &inputs[index].source, verdict.clone());
                         verdict
                     }
                 };
-                ProgramReport {
-                    index,
-                    name: inputs[index].name.clone(),
-                    accepted: verdict.accepted,
-                    diagnostics: verdict.diagnostics,
-                }
+                verdict.report(index, &inputs[index].name)
             })
             .collect();
         BatchReport { programs, jobs: checked.jobs, stats: checked.stats }
@@ -2547,18 +2567,12 @@ mod tests {
         let key = VerdictKey { content: 42, opts: 7 };
         let body_a = "control A(inout bit<8> x) { apply { x = x; } }";
         let body_b = "control B(inout bit<8> x) { apply { x = x; } }";
-        cache.insert(
-            key,
-            CachedVerdict { source: body_a.to_string(), accepted: true, diagnostics: Vec::new() },
-        );
+        cache.insert(key, body_a, CachedVerdict { accepted: true, diagnostics: Vec::new() });
         assert!(cache.lookup(key, body_a).is_some(), "same body hits");
         assert!(cache.lookup(key, body_b).is_none(), "colliding body misses");
         assert_eq!((cache.hits, cache.misses), (1, 1));
         // The colliding body's own verdict then overwrites the slot.
-        cache.insert(
-            key,
-            CachedVerdict { source: body_b.to_string(), accepted: false, diagnostics: Vec::new() },
-        );
+        cache.insert(key, body_b, CachedVerdict { accepted: false, diagnostics: Vec::new() });
         assert_eq!(cache.len(), 1, "one slot per key");
         assert!(cache.lookup(key, body_b).is_some_and(|v| !v.accepted));
         assert!(cache.lookup(key, body_a).is_none(), "the first body now misses");

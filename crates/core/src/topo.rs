@@ -24,11 +24,12 @@
 //! refused (the conservative `in(s)` propagates) and reported.
 //!
 //! Determinism is the same contract the batch layer pins: rounds are
-//! sequential barriers, within a round the dirty switches fan out over
-//! the work-stealing pool (grouped by distinct resolved option sets, in
-//! first-appearance order) and merge by switch index, and link
-//! propagation walks the manifest's link order. Reports are
-//! byte-identical across `--jobs` settings and repeated runs.
+//! sequential barriers, each round's cache misses fan out as one pass
+//! over the epoch's work-stealing pool (every task tagged with the core
+//! slot of its resolved option set; workers keep one session per slot
+//! across rounds) and merge by switch index, and link propagation walks
+//! the manifest's link order. Reports are byte-identical across `--jobs`
+//! settings and repeated runs.
 //!
 //! # Examples
 //!
@@ -65,10 +66,13 @@
 //! ```
 
 use crate::batch::{
-    check_batch_with_core, BatchDiagnostic, BatchInput, BatchReport, BatchStats, ProgramReport,
+    resolve_jobs, with_pool, BatchInput, BatchReport, BatchStats, CheckPool, PoolTask,
+    ProgramReport, SessionSource,
 };
 use crate::policy;
-use crate::serve::options_fingerprint;
+use crate::serve::{
+    options_fingerprint, CachedVerdict, VerdictCache, VerdictKey, DEFAULT_VERDICT_CACHE_CAP,
+};
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{CheckOptions, SharedSessionCore};
 use std::collections::HashMap;
@@ -319,19 +323,30 @@ impl TopoManifest {
 
     /// [`TopoManifest::resolve`] with a caller-supplied program loader —
     /// the hook examples, tests, and property suites use to assemble
-    /// in-memory topologies without touching the filesystem.
+    /// in-memory topologies without touching the filesystem. The loader
+    /// runs once per distinct program path, however many switches share
+    /// it.
     ///
     /// # Errors
     ///
-    /// Loader failures are reported at the declaring switch's line; the
-    /// rest as for [`TopoManifest::resolve`].
+    /// Loader failures are reported at the line of the first switch that
+    /// declares the path; the rest as for [`TopoManifest::resolve`].
     pub fn resolve_with(
         &self,
         mut load: impl FnMut(&str) -> Result<String, String>,
     ) -> Result<Topology, TopoError> {
+        let mut loaded: HashMap<&str, String> = HashMap::new();
         let mut sources = Vec::with_capacity(self.switches.len());
         for sw in &self.switches {
-            sources.push(load(&sw.program).map_err(|e| TopoError::at(sw.line, e))?);
+            let source = match loaded.get(sw.program.as_str()) {
+                Some(source) => source.clone(),
+                None => {
+                    let source = load(&sw.program).map_err(|e| TopoError::at(sw.line, e))?;
+                    loaded.insert(&sw.program, source.clone());
+                    source
+                }
+            };
+            sources.push(source);
         }
         Topology::assemble(self, sources)
     }
@@ -748,32 +763,24 @@ impl TopoReport {
     }
 }
 
-/// A cached per-switch verdict, keyed by `(source hash, options
-/// fingerprint)`. The full body is kept so a hash collision degrades to a
-/// recheck, never a replayed wrong verdict, and transient verdicts
-/// (`E-INTERNAL`, `E-TIMEOUT`) are never inserted — the same soundness
-/// rules the serve front door follows.
-#[derive(Debug, Clone)]
-struct CachedVerdict {
-    body: String,
-    accepted: bool,
-    diagnostics: Vec<BatchDiagnostic>,
-}
-
 /// The reusable fixpoint driver: a topology plus the session state worth
 /// keeping across epochs — one [`SharedSessionCore`] per distinct resolved
 /// option set (so re-checks keep their frozen prelude *and* the
-/// incremental prefix cache), and the verdict cache that lets an epoch
-/// skip every `(source, ingress)` pair it has already decided. Watch mode
-/// holds one engine across edits: after a single-switch edit, only that
-/// switch and its downstream cone miss the cache.
+/// incremental prefix cache; a core's position in the list is its *slot*,
+/// stable for the engine's life), and the verdict cache that lets an
+/// epoch skip every `(source, ingress)` pair it has already decided. The
+/// cache is serve's bounded LRU at its default capacity
+/// ([`DEFAULT_VERDICT_CACHE_CAP`]): bodies are verified on every hit and
+/// transient verdicts are never stored. Watch mode holds one engine
+/// across edits: after a single-switch edit, only that switch and its
+/// downstream cone miss the cache.
 #[derive(Debug)]
 pub struct TopoEngine {
     topo: Topology,
     base: CheckOptions,
     jobs: usize,
     cores: Vec<(u64, SharedSessionCore)>,
-    cache: HashMap<(u64, u64), CachedVerdict>,
+    cache: VerdictCache,
     epochs: u64,
     cumulative: BatchStats,
 }
@@ -784,16 +791,12 @@ impl TopoEngine {
     /// worker count).
     #[must_use]
     pub fn new(topo: Topology, base: CheckOptions, jobs: usize) -> Self {
-        let jobs = match jobs {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
         TopoEngine {
             topo,
             base,
-            jobs,
+            jobs: resolve_jobs(jobs),
             cores: Vec::new(),
-            cache: HashMap::new(),
+            cache: VerdictCache::new(DEFAULT_VERDICT_CACHE_CAP),
             epochs: 0,
             cumulative: BatchStats::default(),
         }
@@ -856,27 +859,40 @@ impl TopoEngine {
         self.topo.switches[i].declassify.unwrap_or(self.base.allow_declassify)
     }
 
-    /// The shared core for an option fingerprint, built on first use and
-    /// kept for the engine's lifetime (first-appearance order, so the
-    /// core list is deterministic).
-    fn core_for(&mut self, fp: u64, opts: &CheckOptions) -> SharedSessionCore {
-        if let Some((_, core)) = self.cores.iter().find(|(g, _)| *g == fp) {
-            return core.clone();
+    /// The slot of the shared core for an option fingerprint, built on
+    /// first use and kept for the engine's lifetime (first-appearance
+    /// order, so the core list is deterministic).
+    fn core_slot(&mut self, fp: u64, opts: &CheckOptions) -> usize {
+        if let Some(slot) = self.cores.iter().position(|(g, _)| *g == fp) {
+            return slot;
         }
-        let core = SharedSessionCore::new(opts.clone());
-        self.cores.push((fp, core.clone()));
-        core
+        self.cores.push((fp, SharedSessionCore::new(opts.clone())));
+        self.cores.len() - 1
     }
 
     /// Runs the fixpoint to stabilization and reports.
     ///
     /// Every switch starts dirty at its declared seed; each round checks
-    /// the dirty set (grouped by distinct resolved options over the
-    /// work-stealing pool, merged by switch index), recomputes egress
-    /// labels, and propagates joins along the links in manifest order.
-    /// Labels only rise, so the loop ends — in at most
+    /// the dirty set as one pass over the epoch's worker pool (each miss
+    /// tagged with its option set's core slot, merged by switch index),
+    /// recomputes egress labels, and propagates joins along the links in
+    /// manifest order. Labels only rise, so the loop ends — in at most
     /// `|switches| · |lattice|` rounds — with every label stable.
     pub fn run_epoch(&mut self) -> TopoReport {
+        let inputs = epoch_inputs(&self.topo);
+        let (mut report, outcome) =
+            with_pool(&inputs, self.jobs, false, |pool| self.fixpoint(pool));
+        report.stats.merge(&outcome.stats);
+        self.epochs += 1;
+        self.cumulative.merge(&report.stats);
+        report
+    }
+
+    /// The fixpoint loop of [`run_epoch`](TopoEngine::run_epoch) over a
+    /// pool whose inputs are the topology's switches, in order. The
+    /// report's stats carry only the fixpoint counters; the caller merges
+    /// in the pool's session counters once the helpers are joined.
+    fn fixpoint(&mut self, pool: &mut CheckPool<'_, '_>) -> TopoReport {
         let n = self.topo.switches.len();
         let lat = self.topo.lattice.clone();
         let mut inl: Vec<Label> = self.topo.switches.iter().map(|s| s.ingress).collect();
@@ -888,7 +904,6 @@ impl TopoEngine {
         let mut dirty: Vec<bool> = vec![true; n];
         let mut rounds: u64 = 0;
         let mut rechecks: u64 = 0;
-        let mut stats = BatchStats::default();
         // Monotone joins over a finite lattice cannot climb forever; the
         // cap is unreachable and exists purely as a correctness backstop.
         let round_cap = (n as u64) * (lat.len() as u64) + 2;
@@ -898,60 +913,31 @@ impl TopoEngine {
             for &i in &work {
                 dirty[i] = false;
             }
-            // Resolve options; split the dirty set into cache hits and
-            // misses, the misses grouped by options fingerprint in
-            // first-appearance order (the policy-pack grouping contract).
-            let mut groups: Vec<(u64, CheckOptions, Vec<usize>)> = Vec::new();
+            // Resolve options; answer cache hits, and tag every miss with
+            // its option set's core slot for this round's single pass.
+            let mut keys: Vec<Option<VerdictKey>> = vec![None; n];
+            let mut tasks: Vec<PoolTask> = Vec::new();
             for &i in &work {
                 let opts = self.effective_options(i, inl[i]);
                 let fp = options_fingerprint(&opts);
-                let src = &self.topo.switches[i].source;
-                let key = (p4bid_ast::fnv::hash(src.as_bytes()), fp);
-                if let Some(hit) = self.cache.get(&key).filter(|c| c.body == *src) {
-                    verdicts[i] = Some(ProgramReport {
-                        index: i,
-                        name: self.topo.switches[i].name.clone(),
-                        accepted: hit.accepted,
-                        diagnostics: hit.diagnostics.clone(),
-                    });
+                let sw = &self.topo.switches[i];
+                let key = VerdictKey::new(&sw.source, fp);
+                if let Some(hit) = self.cache.lookup(key, &sw.source) {
+                    verdicts[i] = Some(hit.report(i, &sw.name));
                     continue;
                 }
-                match groups.iter_mut().find(|(g, _, _)| *g == fp) {
-                    Some((_, _, ixs)) => ixs.push(i),
-                    None => groups.push((fp, opts, vec![i])),
-                }
+                keys[i] = Some(key);
+                tasks.push((self.core_slot(fp, &opts), i));
             }
-            for (fp, opts, ixs) in &groups {
-                let core = self.core_for(*fp, opts);
-                let inputs: Vec<BatchInput> = ixs
-                    .iter()
-                    .map(|&i| {
-                        let sw = &self.topo.switches[i];
-                        BatchInput::new(sw.name.clone(), sw.source.clone())
-                    })
-                    .collect();
-                rechecks += inputs.len() as u64;
-                let sub = check_batch_with_core(&inputs, &core, self.jobs);
-                stats.merge(&sub.stats);
-                for (slot, mut p) in ixs.iter().zip(sub.programs) {
-                    p.index = *slot;
-                    let transient = p
-                        .diagnostics
-                        .iter()
-                        .any(|d| d.code == "E-INTERNAL" || d.code == "E-TIMEOUT");
-                    if !transient {
-                        let src = &self.topo.switches[*slot].source;
-                        self.cache.insert(
-                            (p4bid_ast::fnv::hash(src.as_bytes()), *fp),
-                            CachedVerdict {
-                                body: src.clone(),
-                                accepted: p.accepted,
-                                diagnostics: p.diagnostics.clone(),
-                            },
-                        );
-                    }
-                    verdicts[*slot] = Some(p);
-                }
+            for (_, core) in &self.cores[pool.slots()..] {
+                pool.add_slot(SessionSource::Core(core.clone()));
+            }
+            rechecks += tasks.len() as u64;
+            for p in pool.run_pass(tasks) {
+                let i = p.index;
+                let key = keys[i].expect("only misses are checked");
+                self.cache.insert(key, &self.topo.switches[i].source, CachedVerdict::of(&p));
+                verdicts[i] = Some(p);
             }
             // Egress labels: the conservative taint `in(s)` unless the
             // manifest declares one — raises are free, lowering needs the
@@ -1016,10 +1002,8 @@ impl TopoEngine {
                 egress: lat.name(outl[i]).to_string(),
             })
             .collect();
-        self.epochs += 1;
-        stats.topo_rounds = rounds;
-        stats.switch_rechecks = rechecks;
-        self.cumulative.merge(&stats);
+        let stats =
+            BatchStats { topo_rounds: rounds, switch_rechecks: rechecks, ..BatchStats::default() };
         TopoReport {
             switches,
             violations,
@@ -1119,6 +1103,12 @@ impl TopoEngine {
         );
         out
     }
+}
+
+/// An epoch's pool inputs: one per switch, in manifest order, so a
+/// task's input index is its switch index.
+fn epoch_inputs(topo: &Topology) -> Vec<BatchInput> {
+    topo.switches.iter().map(|sw| BatchInput::new(sw.name.clone(), sw.source.clone())).collect()
 }
 
 /// One-shot fixpoint check: builds a throwaway [`TopoEngine`] and runs a
@@ -1512,6 +1502,160 @@ mod tests {
         let batch = crate::batch::check_batch(&inputs, &CheckOptions::ifc(), 2);
         assert_eq!(report.as_batch_report().to_json(), batch.to_json());
         assert_eq!(report.as_batch_report().render_table(), batch.render_table());
+    }
+
+    #[test]
+    fn sessions_are_keyed_by_core_slot_across_rounds() {
+        // Round 1's first option group is `z`'s (ambient bottom); round
+        // 2's misses are all at `pc = high`, a different fingerprint. A
+        // worker that keyed its sessions by round-local group index would
+        // check `b`'s round-2 miss with round 1's bottom-pc session and
+        // accept its low write.
+        let lat =
+            "lattice { lo < hi; }\ncontrol D(inout <bit<8>, hi> x) { apply { x = x + 8w3; } }";
+        let topo = topo_from(
+            "[switch z]\nprogram = \"z.p4\"\n\
+             [switch a]\nprogram = \"a.p4\"\ningress = \"high\"\n\
+             [switch b]\nprogram = \"b.p4\"\n\
+             [switch c]\nprogram = \"c.p4\"\n\
+             [switch d]\nprogram = \"d.p4\"\ndeclassify = true\n\
+             [switch e]\nprogram = \"e.p4\"\n\
+             [link a:p1 -> b:p1]\n[link b:p2 -> c:p1]\n[link a:p2 -> d:p1]\n\
+             [link z:p1 -> e:p1]\n[link d:p2 -> e:p2]\n",
+            &[
+                ("z.p4", LOW_WRITER),
+                ("a.p4", FWD),
+                ("b.p4", LOW_WRITER),
+                ("c.p4", FWD),
+                ("d.p4", lat),
+                ("e.p4", LOW_WRITER),
+            ],
+        );
+        let lattice = topo.lattice().clone();
+        for jobs in [1, 2, 8] {
+            let mut engine = TopoEngine::new(topo.clone(), CheckOptions::ifc(), jobs);
+            let report = engine.run_epoch();
+            assert!(report.rounds >= 3, "{}", report.render_table());
+            for (i, sw) in report.switches.iter().enumerate() {
+                let ingress = lattice.label(&sw.ingress).expect("boundary label");
+                let opts = engine.effective_options(i, ingress);
+                let input =
+                    BatchInput::new(sw.verdict.name.clone(), topo.switches()[i].source.clone());
+                let mut alone = crate::batch::check_batch(&[input], &opts, 1).programs.remove(0);
+                alone.index = i;
+                assert_eq!(
+                    crate::batch::program_json(&sw.verdict),
+                    crate::batch::program_json(&alone),
+                    "jobs={jobs} switch {}",
+                    sw.verdict.name,
+                );
+            }
+            assert!(!report.switches[2].verdict.accepted, "b's low write under a high pc");
+        }
+    }
+
+    #[test]
+    fn one_switch_topologies_stay_on_the_calling_thread() {
+        let topo = topo_from("[switch a]\nprogram = \"a.p4\"\n", &[("a.p4", FWD)]);
+        let inputs = epoch_inputs(&topo);
+        let mut engine = TopoEngine::new(topo, CheckOptions::ifc(), 8);
+        let ((report, helpers), _) =
+            with_pool(&inputs, 8, false, |pool| (engine.fixpoint(pool), pool.helpers()));
+        assert!(report.all_ok());
+        assert_eq!(helpers, 0, "a one-switch fixpoint spawns no helper");
+        // A wider topology spawns helpers once, on its first multi-task
+        // round, and keeps them across rounds: never more than the round
+        // needs, never more than `jobs - 1`.
+        let topo = topo_from(
+            "[switch a]\nprogram = \"a.p4\"\ningress = \"high\"\n\
+             [switch b]\nprogram = \"b.p4\"\n[switch c]\nprogram = \"c.p4\"\n\
+             [link a:p1 -> b:p1]\n[link b:p2 -> c:p1]\n",
+            &[("a.p4", FWD), ("b.p4", FWD), ("c.p4", FWD)],
+        );
+        let inputs = epoch_inputs(&topo);
+        let mut engine = TopoEngine::new(topo, CheckOptions::ifc(), 8);
+        let ((report, helpers), outcome) =
+            with_pool(&inputs, 8, false, |pool| (engine.fixpoint(pool), pool.helpers()));
+        assert_eq!(report.rounds, 3);
+        assert_eq!(helpers, 2, "round 1 has three tasks: the caller plus two helpers");
+        assert!(outcome.stats.workers <= 3, "one session per worker and slot: {:?}", outcome.stats);
+    }
+
+    #[test]
+    fn the_verdict_cache_is_bounded_and_never_changes_reports() {
+        const SWITCHES: usize = 55;
+        let manifest: String =
+            (0..SWITCHES).map(|i| format!("[switch s{i}]\nprogram = \"p{i}.p4\"\n")).collect();
+        let topo_at = |epoch: usize| {
+            TopoManifest::parse(&manifest)
+                .unwrap()
+                .resolve_with(|path| {
+                    Ok(format!(
+                        "control E{epoch}_{path_id}(inout <bit<8>, high> x) {{ apply {{ x = x + 8w1; }} }}",
+                        path_id = path.trim_end_matches(".p4"),
+                    ))
+                })
+                .unwrap()
+        };
+        let epochs = DEFAULT_VERDICT_CACHE_CAP / SWITCHES + 2;
+        let mut engine = TopoEngine::new(topo_at(0), CheckOptions::ifc(), 2);
+        for epoch in 0..epochs {
+            let topo = topo_at(epoch);
+            engine.set_topology(topo.clone());
+            let warm = engine.run_epoch();
+            assert_eq!(warm.to_json(), check_topology(&topo, &CheckOptions::ifc(), 1).to_json());
+            assert!(engine.cache.len() <= DEFAULT_VERDICT_CACHE_CAP);
+        }
+        assert!(epochs * SWITCHES > DEFAULT_VERDICT_CACHE_CAP);
+        assert_eq!(engine.cache.len(), DEFAULT_VERDICT_CACHE_CAP);
+        // The oldest epoch was evicted whole: it re-checks every switch,
+        // exactly as a fresh engine does. The newest is all hits, with
+        // the same verdicts.
+        let oldest = topo_at(0);
+        engine.set_topology(oldest.clone());
+        assert_eq!(
+            engine.run_epoch().to_json(),
+            check_topology(&oldest, &CheckOptions::ifc(), 1).to_json()
+        );
+        let newest = topo_at(epochs - 1);
+        engine.set_topology(newest.clone());
+        let replay = engine.run_epoch();
+        assert_eq!(replay.switch_rechecks, 0);
+        assert_eq!(
+            replay.as_batch_report().to_json(),
+            check_topology(&newest, &CheckOptions::ifc(), 1).as_batch_report().to_json()
+        );
+    }
+
+    #[test]
+    fn each_program_file_is_loaded_once() {
+        let m = TopoManifest::parse(
+            "[switch a]\nprogram = \"fwd.p4\"\n[switch b]\nprogram = \"low.p4\"\n\
+             [switch c]\nprogram = \"fwd.p4\"\n[switch d]\nprogram = \"low.p4\"\n",
+        )
+        .unwrap();
+        let mut loads = Vec::new();
+        let topo = m
+            .resolve_with(|path| {
+                loads.push(path.to_string());
+                Ok(if path == "fwd.p4" { FWD } else { LOW_WRITER }.to_string())
+            })
+            .unwrap();
+        assert_eq!(loads, ["fwd.p4", "low.p4"]);
+        let sources: Vec<&str> = topo.switches().iter().map(|s| s.source.as_str()).collect();
+        assert_eq!(sources, [FWD, LOW_WRITER, FWD, LOW_WRITER]);
+        // A failing path is reported at its first declaring switch.
+        let m = TopoManifest::parse(
+            "[switch a]\nprogram = \"fwd.p4\"\n[switch b]\nprogram = \"gone.p4\"\n\
+             [switch c]\nprogram = \"gone.p4\"\n",
+        )
+        .unwrap();
+        let e = m
+            .resolve_with(
+                |path| if path == "gone.p4" { Err("missing".into()) } else { Ok(FWD.into()) },
+            )
+            .unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "missing"));
     }
 
     #[test]
